@@ -180,9 +180,12 @@ def _scaleup_summarise(
     return report, profile
 
 
+#: v2: the close-storm event cuts changed the "kernel events" column
+#: (simulated times are unchanged); v1 records stay in the store.
 EXTENSION_E5_SPEC = ExperimentSpec(
     name="extension_e5_scaleup", label="Extension E5", kind="extension",
     grid=_scaleup_grid, point=_scaleup_point, summarise=_scaleup_summarise,
+    version="v2",
 )
 
 

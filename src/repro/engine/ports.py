@@ -6,9 +6,11 @@ tuples) into consumers' :class:`InputPort`\\ s, closing the stream with one
 ("With the exception of these three control messages, execution of an
 operator is completely self-scheduling").
 
-Packets are carried by *courier* processes so a producer is not blocked for
-the full network latency: the sender's interface server provides the
-back-pressure, exactly like the real DMA path.
+Messages are carried by *couriers* (callback chains through the
+interconnect, :meth:`~repro.hardware.network.Interconnect.transfer_fast`)
+so a producer is not blocked for the full network latency: the sender's
+interface server provides the back-pressure, exactly like the real DMA
+path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import ExecutionError
-from ..sim import Get, Put, Store
+from ..sim import Get, Store
 from .node import ExecutionContext, Node
 
 
@@ -62,6 +64,29 @@ class InputPort:
 
     def add_producer(self, count: int = 1) -> None:
         self.expected_producers += count
+
+    def deliver_eos(self, sim: Any, message: EndOfStream) -> None:
+        """Courier hand-off of one producer's EndOfStream.
+
+        A non-final EOS reaching a consumer blocked in ``Get`` would only
+        resume it to count the mark and yield the same ``Get`` again —
+        every consumer loop does exactly that.  So the getter is popped
+        and :meth:`_absorb_eos` does both at the sequence number the
+        wake-up would have drawn, without resuming the generator.  Any
+        other EOS is delivered like a data packet.
+        """
+        store = self.store
+        if store._getters and self._eos_seen + 1 < self.expected_producers:
+            sim._seq += 1
+            sim._ready.append(
+                (sim._seq, self._absorb_eos, store._getters.popleft())
+            )
+        else:
+            store._deliver(sim, message)
+
+    def _absorb_eos(self, getter: Any) -> None:
+        self._eos_seen += 1
+        self.store._get(self.ctx.sim, getter)
 
     def next_packet(self) -> Generator[Any, Any, Optional[DataPacket]]:
         """Generator returning the next packet, or None once every producer
@@ -127,9 +152,11 @@ class InputPort:
         The non-generator core of :meth:`next_packet`, used by flattened
         consumer loops (join build/probe, store) so the hot path creates no
         generator per packet.  Only valid when no profiler or trace is
-        attached — the caller falls back to :meth:`next_packet` otherwise —
-        and the caller owns the EOS bookkeeping (``_eos_seen``) and yields
-        the returned effect itself.
+        attached — the caller falls back to :meth:`next_packet` otherwise.
+        The caller yields the returned effect itself, counts each EOS it
+        receives in ``_eos_seen`` and re-yields the port's cached ``Get``
+        — the loop :meth:`deliver_eos` relies on when it counts a
+        non-final EOS for a blocked consumer without resuming it.
         """
         node = self.node
         costs = node.config.costs
@@ -282,8 +309,16 @@ class OutputPort:
         for dest_idx in range(len(self._buffers)):
             if self._buffers[dest_idx]:
                 yield from self._flush(dest_idx)
-        for dest in self.split.destinations:
-            yield from self._send_control(dest, EndOfStream(self.label))
+        destinations = self.split.destinations
+        if not destinations:
+            return
+        ctx = self.ctx
+        ctx.metrics.record_control_message(self.node.name, len(destinations))
+        ctx.net.transfer_fanout(
+            ctx.sim, self.node.name,
+            [(dest.node_name, dest.port.deliver_eos) for dest in destinations],
+            64, EndOfStream(self.label), ctx.sim._current,
+        )
 
     def _flush(self, dest_idx: int) -> Generator[Any, Any, None]:
         records = self._buffers[dest_idx]
@@ -335,36 +370,18 @@ class OutputPort:
             eff = self.node.work_effect(costs.packet_send)
         if eff is not None:
             yield eff
-        self._dispatch(dest, packet, packet.nbytes)
+        self._dispatch(dest, packet)
 
-    def _send_control(
-        self, dest: "Any", message: EndOfStream
-    ) -> Generator[Any, Any, None]:
-        self.ctx.metrics.record_control_message(self.node.name)
-        self._dispatch(dest, message, nbytes=64)
-        return
-        yield  # pragma: no cover - keeps this a generator
-
-    def _dispatch(self, dest: "Any", message: Any, nbytes: int) -> None:
-        """Hand the message to a courier (fire and forget).
+    def _dispatch(self, dest: "Any", packet: DataPacket) -> None:
+        """Hand ``packet`` to a courier (fire and forget).
 
         Couriers traverse FIFO servers with identical service demands, so
-        per-destination ordering — including EOS-last — is preserved.
-        Without a profiler the courier is a plain callback chain
-        (:meth:`Interconnect.transfer_fast`) producing the exact same event
-        sequence as the generator it replaces; with one, the generator
-        path is kept so service attributes via ``Process.parent``.
+        per-destination ordering — including EOS-last — is preserved.  The
+        producer's process (the one running ``_flush``) rides along as the
+        courier's owner tag for profilers.
         """
         ctx = self.ctx
-        src = self.node.name
-        if ctx.profiler is None:
-            ctx.net.transfer_fast(
-                ctx.sim, src, dest.node_name, nbytes, dest.port.store, message
-            )
-            return
-
-        def courier() -> Generator[Any, Any, None]:
-            yield from ctx.net.transfer(src, dest.node_name, nbytes)
-            yield Put(dest.port.store, message)
-
-        ctx.sim.spawn(courier(), name=f"courier:{self.label}")
+        ctx.net.transfer_fast(
+            ctx.sim, self.node.name, dest.node_name, packet.nbytes,
+            dest.port.store._deliver, packet, ctx.sim._current,
+        )

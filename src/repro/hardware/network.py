@@ -19,10 +19,13 @@ The paper's two anchor numbers are honoured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import ConfigError
 from ..sim import Delay, Server, Use
+
+#: ``deliver(sim, message)``: the courier's hand-off at the destination.
+Deliver = Callable[[Any, Any], None]
 
 
 @dataclass(frozen=True)
@@ -113,91 +116,126 @@ class Interconnect:
         yield Use(self.ring, self.model.ring_time(nbytes))
         yield Use(dst_nic.server, self.model.interface_time(nbytes))
 
+    def _stages(
+        self, src: str, dst: str, nbytes: int
+    ) -> tuple[tuple[Optional[Server], float], ...]:
+        """Count one message and return its hops, as :meth:`transfer`
+        would take them: ``(server, service time)`` pairs, or a single
+        ``(None, delay)`` for a short-circuited same-node message."""
+        model = self.model
+        if src == dst:
+            self.messages_short_circuited += 1
+            return ((None, model.short_circuit_s),)
+        self.messages_sent += 1
+        self.bytes_on_ring += nbytes
+        src_nic = self.interfaces[src]
+        dst_nic = self.interfaces[dst]
+        src_nic.messages += 1
+        src_nic.bytes_sent += nbytes
+        iface_time = model.interface_time(nbytes)
+        return (
+            (src_nic.server, model.message_overhead_s + iface_time),
+            (self.ring, model.ring_time(nbytes)),
+            (dst_nic.server, iface_time),
+        )
+
     def transfer_fast(
         self,
         sim: Any,
         src: str,
         dst: str,
         nbytes: int,
-        store: Any,
+        deliver: Deliver,
         message: Any,
+        owner: Any = None,
     ) -> None:
-        """Fire-and-forget transfer delivering ``message`` into ``store``.
+        """Fire-and-forget transfer handing ``message`` to ``deliver``.
 
-        Event-for-event identical to spawning a courier process around
-        :meth:`transfer` followed by ``Put(store, message)``: the same
-        server ``_use`` calls happen at the same simulated times in the
-        same sequence order, so timelines and ``events_processed`` are
-        bit-identical — without a generator frame, a :class:`Process`, or
-        the per-courier entry in the simulation's process list (which at
-        1000 sites would retain a million finished couriers).
+        Takes the same hops at the same simulated times as a process
+        running :meth:`transfer` and then ``Put``-ting the message — the
+        courier starts from one ready event, exactly where that process's
+        spawn would have run — but without a generator, a
+        :class:`~repro.sim.Process`, or the events that only resumed it:
+        ``deliver(sim, message)`` runs inside the last hop's completion
+        (``Store._deliver`` schedules no wake-up for the sender).
 
-        Couriers cannot deadlock (input-port stores are unbounded), so the
-        lost deadlock diagnostics are moot.  Profilers attribute service by
-        walking ``Process.parent``; callers must keep the generator path
-        when a profiler is attached.
+        ``owner`` (normally the dispatching process) is passed to every
+        server's profile hook, so profiled runs execute this same path.
         """
-        model = self.model
-        if src == dst:
-            self.messages_short_circuited += 1
-            stages: tuple = ((None, model.short_circuit_s),)
-        else:
-            self.messages_sent += 1
-            self.bytes_on_ring += nbytes
-            src_nic = self.interfaces[src]
-            dst_nic = self.interfaces[dst]
-            src_nic.messages += 1
-            src_nic.bytes_sent += nbytes
-            iface_time = model.interface_time(nbytes)
-            stages = (
-                (src_nic.server, model.message_overhead_s + iface_time),
-                (self.ring, model.ring_time(nbytes)),
-                (dst_nic.server, iface_time),
-            )
-        _FastCourier(sim, stages, store, message)
+        sim._schedule_now(
+            _Courier(sim, self._stages(src, dst, nbytes), deliver, message,
+                     owner)
+        )
+
+    def transfer_fanout(
+        self,
+        sim: Any,
+        src: str,
+        targets: list[tuple[str, Deliver]],
+        nbytes: int,
+        message: Any,
+        owner: Any = None,
+    ) -> None:
+        """:meth:`transfer_fast` of one ``message`` to every
+        ``(dst, deliver)`` target, launched from a single ready event.
+
+        Back-to-back :meth:`transfer_fast` calls draw consecutive
+        sequence numbers, so no other event can run between their
+        launches; running every courier's first hop, in target order, from
+        one event is therefore the same timeline with ``len(targets) - 1``
+        fewer events.
+        """
+        if targets:
+            sim._schedule_now(_launch_all, [
+                _Courier(sim, self._stages(src, dst, nbytes), deliver,
+                         message, owner)
+                for dst, deliver in targets
+            ])
 
 
-class _FastCourier:
-    """Callback chain replicating a courier generator's event sequence.
+class _Courier:
+    """Callback chain carrying one message through the interconnect.
 
-    Each invocation advances one stage: the server ``Use`` intervals (or
-    the short-circuit delay), then the ``Put`` into the destination store,
-    then one final no-op resume — the exact events (and sequence-counter
-    draws) the generator courier produced, so simulated timelines stay
-    bit-identical with ~6x less per-courier interpreter work.
+    Each call advances one stage: a server ``Use`` interval (or the
+    short-circuit delay), and after the last one the hand-off to
+    ``deliver``.  Servers see ``owner`` as the interval's owner, which is
+    how a profiler attributes courier service to an operator.
     """
 
-    __slots__ = ("sim", "stages", "i", "store", "message")
+    __slots__ = ("sim", "stages", "i", "deliver", "message", "owner")
 
     def __init__(
         self,
         sim: Any,
         stages: tuple[tuple[Optional[Server], float], ...],
-        store: Any,
+        deliver: Deliver,
         message: Any,
+        owner: Any,
     ) -> None:
         self.sim = sim
         self.stages = stages
         self.i = 0
-        self.store = store
+        self.deliver = deliver
         self.message = message
-        # The spawn-resume event that would have started the generator.
-        sim._schedule_now(self)
+        self.owner = owner
 
     def __call__(self, _value: Any = None) -> None:
         i = self.i
-        self.i = i + 1
         stages = self.stages
         if i < len(stages):
+            self.i = i + 1
             server, duration = stages[i]
             if server is None:
                 self.sim.call_after(duration, self)
             else:
-                server._use(self.sim, duration, self, None)
-        elif i == len(stages):
-            self.store._put(self.sim, self.message, self)
-        # else: the final resume after the Put — the event the generator
-        # spent raising StopIteration; nothing left to do.
+                server._use(self.sim, duration, self, self.owner)
+        else:
+            self.deliver(self.sim, self.message)
+
+
+def _launch_all(couriers: list[_Courier]) -> None:
+    for courier in couriers:
+        courier()
 
 
 #: Gamma's Proteon 80 Mbit/s token ring behind 4 Mbit/s Unibus interfaces.

@@ -7,10 +7,12 @@ caused it:
 * drivers *register* each operator process against an IR node id and a
   phase ("build", "probe", "overflow", ...) when they spawn it;
 * every :class:`~repro.sim.Server` carrying a ``profile_hook`` reports
-  ``(server, process, start, duration)`` at service start; the profiler
-  resolves the process to an operator by walking ``Process.parent`` —
-  helper processes (couriers, page feeders) need no explicit
-  registration;
+  ``(server, owner, start, duration)`` at service start.  The owner is
+  the process whose ``Use`` is served or, for a network courier, the
+  process that dispatched it (the courier's owner tag), so profiled and
+  plain runs share one courier path.  The profiler maps the owner to its
+  registered operator; helper processes (page feeders) resolve through
+  ``Process.parent`` and need no explicit registration;
 * ports report tuple counts for the process currently executing.
 
 Everything is passive — the profiler never schedules simulation events,

@@ -57,8 +57,9 @@ class Process:
             (diagnostics; ``None`` while runnable or finished).
         parent: The process that was running when this one was spawned
             (``None`` for externally spawned roots).  Attribution metadata
-            only — helper processes (couriers, page feeders) resolve to
-            the operator that created them by walking this chain.
+            only — helper processes (page feeders) resolve to the operator
+            that created them by walking this chain.  Couriers are not
+            processes; they carry their dispatcher as an owner tag.
     """
 
     __slots__ = (
@@ -226,7 +227,7 @@ class Simulation:
         # through to the table.
         cls = effect.__class__
         if cls is Use:
-            effect.server._use(self, effect.duration, proc._resume, proc)
+            effect.server._use(self, effect.duration, None, proc)
             return
         if cls is Get:
             effect.store._get(self, proc._resume)
@@ -263,16 +264,6 @@ class Simulation:
         waiters, proc._waiters = proc._waiters, []
         for resume in waiters:
             resume(value)
-
-    def _perform(self, proc: Process, effect: Any) -> None:
-        """Perform one yielded effect for ``proc`` (dispatch-table entry)."""
-        proc.blocked_on = effect
-        handler = _HANDLERS.get(effect.__class__)
-        if handler is None:
-            raise SimulationError(
-                f"process {proc.name!r} yielded unknown effect {effect!r}"
-            )
-        handler(self, proc, effect)
 
     # ------------------------------------------------------------------
     # running
@@ -384,7 +375,7 @@ def _do_delay(sim: Simulation, proc: Process, effect: Delay) -> None:
 
 
 def _do_use(sim: Simulation, proc: Process, effect: Use) -> None:
-    effect.server._use(sim, effect.duration, proc._resume, proc)
+    effect.server._use(sim, effect.duration, None, proc)
 
 
 def _do_acquire(sim: Simulation, proc: Process, effect: Acquire) -> None:

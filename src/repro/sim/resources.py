@@ -34,10 +34,10 @@ Resume = Callable[..., None]
 #: ``server.observer`` signature: (server_name, start_time, duration).
 ServiceObserver = Callable[[str, float, float], None]
 
-#: ``server.profile_hook`` signature: (server, process, start, duration).
-#: The process is the one whose ``Use`` is being serviced (None for
-#: Acquire/Release brackets); profilers attribute the interval to an
-#: operator by walking ``process.parent``.
+#: ``server.profile_hook`` signature: (server, owner, start, duration).
+#: The owner is the process the interval is charged to: the process whose
+#: ``Use`` is being serviced, or the process that dispatched a courier
+#: (None when untagged).  Profilers map the owner to an operator.
 ProfileHook = Callable[["Server", Optional["Process"], float, float], None]
 
 
@@ -126,9 +126,10 @@ class Server:
         self.name = name
         self.capacity = capacity
         self._in_service = 0
-        # Queue entries: (duration | None, resume, enqueue_time, process).
+        # Queue entries: (duration | None, resume | None, enqueue_time,
+        # owner); see _use for the resume/owner contract.
         self._queue: deque[
-            tuple[Optional[float], Resume, float, Optional["Process"]]
+            tuple[Optional[float], Optional[Resume], float, Optional["Process"]]
         ] = deque()
         self.requests = 0
         self._last_change = 0.0
@@ -140,10 +141,10 @@ class Server:
         self.profile_hook: Optional[ProfileHook] = None
         # The owning simulation, captured at first service: lets service
         # completion run as a bound method + resume argument on the event
-        # heap instead of a per-interval closure.  Process-owned Use
-        # effects complete through _complete_proc, which steps the process
-        # directly (skipping its resume-closure frame); resumes without a
-        # process (couriers, Acquire grants) go through _complete.
+        # heap instead of a per-interval closure.  A process's own Use
+        # completes through _complete_proc, which steps the process
+        # directly (skipping its resume-closure frame); callback resumes
+        # (couriers) go through _complete.
         self._sim: Optional["Simulation"] = None
         self._complete_cb = self._complete
         self._complete_proc_cb = self._complete_proc
@@ -215,9 +216,16 @@ class Server:
         self,
         sim: "Simulation",
         duration: float,
-        resume: Resume,
-        proc: Optional["Process"] = None,
+        resume: Optional[Resume],
+        owner: Optional["Process"] = None,
     ) -> None:
+        """Serve ``duration`` seconds, then resume the requester.
+
+        With ``resume=None`` the requester is ``owner`` itself (a process
+        that yielded ``Use``) and completion steps it directly.  Otherwise
+        completion calls ``resume(None)`` and ``owner`` only tags the
+        interval for the profile hook.
+        """
         if duration < 0:
             raise SimulationError(f"negative service time on {self.name!r}")
         self.requests += 1
@@ -246,10 +254,10 @@ class Server:
             if self.observer is not None:
                 self.observer(self.name, now, duration)
             if self.profile_hook is not None:
-                self.profile_hook(self, proc, now, duration)
-            if proc is not None:
+                self.profile_hook(self, owner, now, duration)
+            if resume is None:
                 cb: Callable[..., None] = self._complete_proc_cb
-                arg: Any = proc
+                arg: Any = owner
             else:
                 cb = self._complete_cb
                 arg = resume
@@ -261,7 +269,7 @@ class Server:
                     sim._heap, (now + duration, sim._seq, cb, arg)
                 )
         else:
-            self._queue.append((duration, resume, now, proc))
+            self._queue.append((duration, resume, now, owner))
 
     def _acquire(self, sim: "Simulation", resume: Resume) -> None:
         self.requests += 1
@@ -286,8 +294,8 @@ class Server:
         self,
         sim: "Simulation",
         duration: float,
-        resume: Resume,
-        proc: Optional["Process"] = None,
+        resume: Optional[Resume],
+        owner: Optional["Process"],
     ) -> None:
         # _advance(sim.now) has already run on every path into here.
         self._in_service += 1
@@ -295,10 +303,10 @@ class Server:
         if self.observer is not None:
             self.observer(self.name, sim._now, duration)
         if self.profile_hook is not None:
-            self.profile_hook(self, proc, sim._now, duration)
-        if proc is not None:
+            self.profile_hook(self, owner, sim._now, duration)
+        if resume is None:
             cb: Callable[..., None] = self._complete_proc_cb
-            arg: Any = proc
+            arg: Any = owner
         else:
             cb = self._complete_cb
             arg = resume
@@ -353,13 +361,15 @@ class Server:
 
     def _dispatch(self, sim: "Simulation") -> None:
         while self._queue and self._in_service < self.capacity:
-            duration, resume, enqueued, proc = self._queue.popleft()
+            duration, resume, enqueued, owner = self._queue.popleft()
             self.wait_stats.record(sim.now - enqueued)
             if duration is None:
+                # An Acquire grant: these entries always carry a resume.
+                assert resume is not None
                 self._in_service += 1
                 sim._schedule_now(resume)
             else:
-                self._start(sim, duration, resume, proc)
+                self._start(sim, duration, resume, owner)
 
 
 class Store:
@@ -416,6 +426,24 @@ class Store:
             sim._ready.append((sim._seq, resume, _NO_VALUE))
         else:
             self._putters.append((item, resume))
+
+    def _deliver(self, sim: "Simulation", item: Any) -> None:
+        """Fire-and-forget put: :meth:`_put` with no putter to resume.
+
+        Couriers hand their message over from inside a callback chain, so
+        there is nobody to wake after the put and no wake-up is scheduled.
+        Having no putter to block, they need room in the store.
+        """
+        if self._getters:
+            getter = self._getters.popleft()
+            sim._seq += 1
+            sim._ready.append((sim._seq, getter, item))
+        elif self.capacity is None or len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            raise SimulationError(
+                f"fire-and-forget put into full store {self.name!r}"
+            )
 
     def _get(self, sim: "Simulation", resume: Resume) -> None:
         if self._items:

@@ -36,21 +36,32 @@ def _machine():
     )
 
 
-def test_golden_end_times_bit_identical():
+def _run_suite(profile=False):
+    """One query per operator family on a fresh machine."""
     machine = _machine()
     scan = run_stored(
-        machine, lambda into: selection_query("golden", N, 0.01, into=into)
+        machine,
+        lambda into: selection_query("golden", N, 0.01, into=into),
+        profile=profile,
     )
     join = run_stored(
         machine,
         lambda into: join_abprime("golden", "goldenB", key=False, into=into),
+        profile=profile,
     )
     agg = machine.run(
-        Query.aggregate("golden", op="sum", attr="unique1", group_by="ten")
+        Query.aggregate("golden", op="sum", attr="unique1", group_by="ten"),
+        profile=profile,
     )
     upd = machine.update(
-        update_suite("goldenIdx", N)["modify 1 tuple (key attribute)"]
+        update_suite("goldenIdx", N)["modify 1 tuple (key attribute)"],
+        profile=profile,
     )
+    return scan, join, agg, upd
+
+
+def test_golden_end_times_bit_identical():
+    scan, join, agg, upd = _run_suite()
     assert scan.result_count == 100
     assert join.result_count == 1000
     assert scan.response_time == GOLDEN["scan"]
@@ -60,26 +71,9 @@ def test_golden_end_times_bit_identical():
 
 
 def test_golden_end_times_with_profiling():
-    """The profiler is passive: clocks stay bit-identical with it on."""
-    machine = _machine()
-    scan = run_stored(
-        machine,
-        lambda into: selection_query("golden", N, 0.01, into=into),
-        profile=True,
-    )
-    join = run_stored(
-        machine,
-        lambda into: join_abprime("golden", "goldenB", key=False, into=into),
-        profile=True,
-    )
-    agg = machine.run(
-        Query.aggregate("golden", op="sum", attr="unique1", group_by="ten"),
-        profile=True,
-    )
-    upd = machine.update(
-        update_suite("goldenIdx", N)["modify 1 tuple (key attribute)"],
-        profile=True,
-    )
+    """The profiler is passive: clocks stay bit-identical with it on, and
+    it runs the same code — the same kernel events — as a plain run."""
+    scan, join, agg, upd = _run_suite(profile=True)
     assert scan.response_time == GOLDEN["scan"]
     assert join.response_time == GOLDEN["join"]
     assert agg.response_time == GOLDEN["aggregate"]
@@ -87,6 +81,9 @@ def test_golden_end_times_with_profiling():
     for result in (scan, join, agg, upd):
         assert result.profile is not None
         assert result.profile.elapsed == result.response_time
+    plain = _run_suite()
+    for profiled, result in zip((scan, join, agg, upd), plain):
+        assert profiled.stats["sim_events"] == result.stats["sim_events"]
     # The join profile separates the build and probe phases.
     phases = {
         phase

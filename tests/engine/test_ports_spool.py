@@ -8,7 +8,7 @@ from repro.engine.ports import DataPacket, EndOfStream, InputPort, OutputPort
 from repro.engine.split_table import Destination, SplitTable
 from repro.errors import ExecutionError
 from repro.hardware import GammaConfig
-from repro.sim import Put
+from repro.sim import Delay, Put
 from repro.storage import Schema, int_attr
 
 
@@ -167,6 +167,113 @@ class TestOutputPort:
         _prod, cons = run_procs(ctx, producer(), consumer())
         assert out.tuples_filtered >= 1
         assert (1,) in cons.value
+
+
+def _counting(gen, resumes):
+    """Drive ``gen`` inside a process, logging every value it receives."""
+    value = None
+    while True:
+        try:
+            effect = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = yield effect
+        resumes.append(value)
+
+
+def _generator_courier(ctx, src, dst, nbytes, store, message):
+    """Reference courier: a process running ``transfer`` then ``Put``."""
+
+    def courier():
+        yield from ctx.net.transfer(src, dst, nbytes)
+        yield Put(store, message)
+
+    ctx.sim.spawn(courier(), name="courier")
+
+
+class TestEndOfStreamAbsorption:
+    def test_blocked_consumer_resumed_once_by_final_eos(self):
+        ctx = make_ctx()
+        nodes = ctx.disk_nodes + ctx.diskless_nodes
+        target = nodes[0]
+        port = InputPort(ctx, "in", target)
+        port.add_producer(len(nodes))
+        resumes = []
+        drained = []
+
+        def consumer():
+            drained.append((yield from _counting(port.drain(), resumes)))
+
+        def producer(i, node):
+            # Staggered closes: every EOS finds the consumer blocked.
+            yield Delay(0.05 * i)
+            split = SplitTable.single(Destination(target.name, port))
+            yield from OutputPort(ctx, node, split, 8, f"p{i}").close()
+
+        procs = [consumer()] + [producer(i, n) for i, n in enumerate(nodes)]
+        run_procs(ctx, *procs)
+        assert drained == [[]]
+        assert port._eos_seen == len(nodes)
+        # Only the final EOS resumed the consumer's generator.
+        assert resumes == [EndOfStream(f"p{len(nodes) - 1}")]
+
+    def _eos_then_data(self, fast):
+        """EOS from producer a and a data packet from producer b reach a
+        blocked consumer at the same timestamp; b closes later."""
+        ctx = make_ctx()
+        node = ctx.disk_nodes[0]
+        port = InputPort(ctx, "in", node)
+        port.add_producer(2)
+        consumed = []
+        resumes = []
+
+        def consumer():
+            while True:
+                packet = yield from _counting(port.next_packet(), resumes)
+                if packet is None:
+                    consumed.append((ctx.sim.now, "done"))
+                    return
+                consumed.append((ctx.sim.now, packet.producer))
+
+        def send(message, nbytes):
+            if fast and type(message) is EndOfStream:
+                ctx.net.transfer_fanout(
+                    ctx.sim, node.name, [(node.name, port.deliver_eos)],
+                    nbytes, message,
+                )
+            elif fast:
+                ctx.net.transfer_fast(
+                    ctx.sim, node.name, node.name, nbytes,
+                    port.store._deliver, message,
+                )
+            else:
+                _generator_courier(
+                    ctx, node.name, node.name, nbytes, port.store, message
+                )
+
+        def producers():
+            yield Delay(0.01)
+            send(EndOfStream("a"), 64)
+            send(DataPacket([(1,), (2,)], 416, "b", node.name), 416)
+            yield Delay(0.01)
+            send(EndOfStream("b"), 64)
+
+        run_procs(ctx, consumer(), producers())
+        return consumed, ctx.sim.now, node.instructions_retired, resumes
+
+    def test_eos_then_data_at_same_time_matches_generator_couriers(self):
+        consumed, end, work, resumes = self._eos_then_data(fast=True)
+        ref_consumed, ref_end, ref_work, ref_resumes = self._eos_then_data(
+            fast=False
+        )
+        assert consumed == ref_consumed
+        assert consumed[0][1] == "b" and consumed[-1][1] == "done"
+        assert end == ref_end
+        assert work == ref_work
+        # The reference wakes the consumer for the non-final EOS as well.
+        assert EndOfStream("a") in ref_resumes
+        assert EndOfStream("a") not in resumes
+        assert len(resumes) == len(ref_resumes) - 1
 
 
 class TestSpoolFile:
