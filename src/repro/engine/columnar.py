@@ -15,27 +15,20 @@ Two invariants make the fast paths safe:
   identically to Python's masked bignum arithmetic; CPython's tuple hash
   is replicated lane-for-lane for the bit filters) and is only entered
   when that equivalence provably holds — int values inside the
-  ``hash(v) == v`` range.  Everything else falls back to the scalar loop.
+  ``hash(v) == v`` range, at least :data:`NUMPY_THRESHOLD` of them.
+  Everything else takes the scalar loop.
 * **Unchanged cost model.**  These kernels change how fast the simulator
   *computes* a decision, never what the simulated machine is *charged*
   for it; golden timelines are unaffected.
-
-numpy is optional: without it every entry point degrades to the scalar
-loop (`array`/list arithmetic), so the engine has no hard dependency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from ..catalog.partitioning import stable_hash
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Minimum batch size for the vectorized kernels.  Below this the numpy
 #: call overhead (array construction + ufunc dispatch) exceeds the scalar
@@ -60,7 +53,7 @@ def _int_column(
         if type(value) is not int:
             return None
     try:
-        arr = _np.fromiter(column, dtype=_np.int64, count=len(column))
+        arr = np.fromiter(column, dtype=np.int64, count=len(column))
     except OverflowError:
         return None
     if int(arr.min()) < 0 or int(arr.max()) >= _MERSENNE61:
@@ -76,13 +69,13 @@ def gamma_hash_array(arr: "Any", n_buckets: int) -> "Any":
     where wrapping products agree with Python's arbitrary-precision
     arithmetic masked to 32 bits.
     """
-    h = (arr.astype(_np.uint64) * _np.uint64(2654435761)) & _np.uint64(
+    h = (arr.astype(np.uint64) * np.uint64(2654435761)) & np.uint64(
         0xFFFFFFFF
     )
-    h ^= h >> _np.uint64(17)
-    h = (h * _np.uint64(0x9E3779B1)) & _np.uint64(0xFFFFFFFF)
-    h ^= h >> _np.uint64(13)
-    return h % _np.uint64(n_buckets)
+    h ^= h >> np.uint64(17)
+    h = (h * np.uint64(0x9E3779B1)) & np.uint64(0xFFFFFFFF)
+    h ^= h >> np.uint64(13)
+    return h % np.uint64(n_buckets)
 
 
 def hash_route_batch(
@@ -94,7 +87,7 @@ def hash_route_batch(
     Large all-int batches go through :func:`gamma_hash_array`; everything
     else through a scalar loop with ``stable_hash``'s int fast path.
     """
-    if _np is not None and len(records) >= NUMPY_THRESHOLD:
+    if len(records) >= NUMPY_THRESHOLD:
         arr = _int_column(records, pos)
         if arr is not None:
             return gamma_hash_array(arr, n).tolist()
@@ -131,8 +124,8 @@ def _tuple_hash_pair_array(seed: int, lanes: "Any") -> "Any":
     lane for lane in uint64, then reinterprets the accumulator as the
     signed ``Py_hash_t`` CPython returns (with the -1 → -2 fixup).
     """
-    p1 = _np.uint64(_XX_P1)
-    p2 = _np.uint64(_XX_P2)
+    p1 = np.uint64(_XX_P1)
+    p2 = np.uint64(_XX_P2)
     # Lane 1: the seed (a plain scalar) — folded in Python ints masked to
     # 64 bits, so the intended wraparound never trips numpy's scalar
     # overflow warning.  Array ops below wrap silently, as specified.
@@ -140,12 +133,12 @@ def _tuple_hash_pair_array(seed: int, lanes: "Any") -> "Any":
     acc0 = ((acc0 << 31) | (acc0 >> 33)) & _U64
     acc0 = (acc0 * _XX_P1) & _U64
     # Lane 2: the values.
-    with _np.errstate(over="ignore"):
-        acc = _np.uint64(acc0) + lanes.astype(_np.uint64) * p2
-    acc = (acc << _np.uint64(31)) | (acc >> _np.uint64(33))
+    with np.errstate(over="ignore"):
+        acc = np.uint64(acc0) + lanes.astype(np.uint64) * p2
+    acc = (acc << np.uint64(31)) | (acc >> np.uint64(33))
     acc = acc * p1
-    acc = acc + _np.uint64((2 ^ (_XX_P5 ^ 3527539)) & _U64)
-    signed = acc.astype(_np.int64)
+    acc = acc + np.uint64((2 ^ (_XX_P5 ^ 3527539)) & _U64)
+    signed = acc.astype(np.int64)
     # CPython never returns -1 from a hash (it signals an error).
     signed[signed == -1] = -2
     return signed
@@ -170,138 +163,27 @@ class BatchedBitProbe:
     def __init__(self, n_bits: int, seeds: Sequence[int], bits: bytearray):
         self.n_bits = n_bits
         self.seeds = tuple(seeds)
-        self._bits_view = (
-            _np.frombuffer(bits, dtype=_np.uint8)
-            if _np is not None else None
-        )
+        self._bits_view = np.frombuffer(bits, dtype=np.uint8)
 
     def test(
         self, records: Sequence[tuple], pos: int
     ) -> Optional[list[bool]]:
-        if self._bits_view is None or len(records) < NUMPY_THRESHOLD:
+        if len(records) < NUMPY_THRESHOLD:
             return None
         arr = _int_column(records, pos)
         if arr is None:
             return None
-        ok = _np.ones(len(records), dtype=bool)
-        n_bits = _np.int64(self.n_bits)
+        ok = np.ones(len(records), dtype=bool)
+        n_bits = np.int64(self.n_bits)
         for seed in self.seeds:
             h = _tuple_hash_pair_array(seed, arr)
-            h = h ^ (h >> _np.int64(16))
-            bit = (h & _np.int64(0x7FFFFFFF)) % n_bits
+            h = h ^ (h >> np.int64(16))
+            bit = (h & np.int64(0x7FFFFFFF)) % n_bits
             ok &= (
-                self._bits_view[bit >> _np.int64(3)]
-                >> (bit & _np.int64(7)).astype(_np.uint8)
-            ) & _np.uint8(1) != 0
+                self._bits_view[bit >> np.int64(3)]
+                >> (bit & np.int64(7)).astype(np.uint8)
+            ) & np.uint8(1) != 0
         return ok.tolist()
-
-
-# ---------------------------------------------------------------------------
-# Array-of-column tuple pools
-# ---------------------------------------------------------------------------
-
-
-class ColumnBatch:
-    """A batch of tuples stored column-wise.
-
-    Integer columns become int64 numpy arrays (plain lists without
-    numpy); other columns stay lists.  The batch round-trips losslessly:
-    ``ColumnBatch.from_records(rs).to_records() == list(rs)``.
-
-    This is the storage shape the vectorized kernels want — extracting a
-    column is O(1) instead of a per-record gather — and what load-time
-    partitioning and wide-packet configurations batch tuples into.
-    """
-
-    __slots__ = ("columns", "count", "_int_cols")
-
-    def __init__(
-        self, columns: list[Any], count: int, int_cols: tuple[bool, ...]
-    ) -> None:
-        self.columns = columns
-        self.count = count
-        self._int_cols = int_cols
-
-    @classmethod
-    def from_records(cls, records: Sequence[tuple]) -> "ColumnBatch":
-        count = len(records)
-        if count == 0:
-            return cls([], 0, ())
-        width = len(records[0])
-        columns: list[Any] = []
-        int_flags: list[bool] = []
-        for pos in range(width):
-            column = [record[pos] for record in records]
-            is_int = all(type(v) is int for v in column)
-            if is_int and _np is not None and count >= NUMPY_THRESHOLD:
-                try:
-                    column = _np.fromiter(
-                        column, dtype=_np.int64, count=count
-                    )
-                except OverflowError:
-                    is_int = False
-            columns.append(column)
-            int_flags.append(is_int)
-        return cls(columns, count, tuple(int_flags))
-
-    def column(self, pos: int) -> Any:
-        return self.columns[pos]
-
-    def to_records(self) -> list[tuple]:
-        if self.count == 0:
-            return []
-        cols = [
-            c.tolist() if _np is not None and isinstance(c, _np.ndarray)
-            else c
-            for c in self.columns
-        ]
-        return list(zip(*cols))
-
-    def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """A new batch holding the given row positions, in order."""
-        if _np is not None:
-            idx = _np.asarray(indices, dtype=_np.int64)
-            columns = [
-                c[idx] if isinstance(c, _np.ndarray)
-                else [c[i] for i in indices]
-                for c in self.columns
-            ]
-        else:
-            columns = [[c[i] for i in indices] for c in self.columns]
-        return ColumnBatch(columns, len(indices), self._int_cols)
-
-    @classmethod
-    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        batches = [b for b in batches if b.count]
-        if not batches:
-            return cls([], 0, ())
-        first = batches[0]
-        if len(batches) == 1:
-            return first
-        columns: list[Any] = []
-        for pos in range(len(first.columns)):
-            parts = [b.columns[pos] for b in batches]
-            if _np is not None and all(
-                isinstance(p, _np.ndarray) for p in parts
-            ):
-                columns.append(_np.concatenate(parts))
-            else:
-                merged: list[Any] = []
-                for p in parts:
-                    merged.extend(
-                        p.tolist()
-                        if _np is not None and isinstance(p, _np.ndarray)
-                        else p
-                    )
-                columns.append(merged)
-        count = sum(b.count for b in batches)
-        return cls(columns, count, first._int_cols)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"<ColumnBatch {self.count}x{len(self.columns)}>"
 
 
 def partition_batch(

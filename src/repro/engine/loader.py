@@ -117,15 +117,16 @@ class LoadRun:
         per_page = records_per_page(page_size, self.schema.tuple_bytes)
         received = 0
         pages_written = 0
-        while True:
-            packet = yield from port.next_packet()
-            if packet is None:
-                break
-            received += len(packet.records)
-            yield from node.work(costs.store_tuple * len(packet.records))
+
+        def write_batch(records: list[tuple]) -> Generator[Any, Any, None]:
+            nonlocal received, pages_written
+            received += len(records)
+            yield from node.work(costs.store_tuple * len(records))
             while received // per_page > pages_written:
                 yield from node.write_page(self.name, pages_written)
                 pages_written += 1
+
+        yield from port.consume(write_batch)
         if received % per_page:
             yield from node.write_page(self.name, pages_written)
             pages_written += 1

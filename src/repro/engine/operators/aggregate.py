@@ -93,11 +93,8 @@ def grouped_aggregate_operator(
     per_record = costs.aggregate_group_lookup + costs.aggregate_update
     groups_get = groups.get
     work_effect = node.work_effect
-    while True:
-        packet = yield from port.next_packet()
-        if packet is None:
-            break
-        records = packet.records
+
+    def fold_batch(records: list[tuple]) -> Generator[Any, Any, None]:
         for record in records:
             group = record[group_pos]
             acc = groups_get(group)
@@ -107,6 +104,8 @@ def grouped_aggregate_operator(
         eff = work_effect(per_record * len(records))
         if eff is not None:
             yield eff
+
+    yield from port.consume(fold_batch)
     results = [
         (group, acc.result(op)) for group, acc in sorted(groups.items())
     ]
@@ -129,16 +128,17 @@ def partial_aggregate_operator(
     costs = ctx.config.costs
     acc = _Accumulator()
     folded = 0
-    while True:
-        packet = yield from port.next_packet()
-        if packet is None:
-            break
-        eff = node.work_effect(costs.aggregate_update * len(packet.records))
+
+    def fold_batch(records: list[tuple]) -> Generator[Any, Any, None]:
+        nonlocal folded
+        eff = node.work_effect(costs.aggregate_update * len(records))
         if eff is not None:
             yield eff
-        folded += len(packet.records)
-        for record in packet.records:
+        folded += len(records)
+        for record in records:
             acc.fold(record[value_pos] if value_pos is not None else None)
+
+    yield from port.consume(fold_batch)
     yield from output.emit_many([acc.as_tuple()])
     yield from output.close()
     yield from operator_done(ctx, node)
@@ -155,15 +155,15 @@ def combine_aggregate_operator(
     """Scalar combiner: merge the per-node partials into the final value."""
     costs = ctx.config.costs
     final = _Accumulator()
-    while True:
-        packet = yield from port.next_packet()
-        if packet is None:
-            break
-        eff = node.work_effect(costs.aggregate_update * len(packet.records))
+
+    def merge_batch(records: list[tuple]) -> Generator[Any, Any, None]:
+        eff = node.work_effect(costs.aggregate_update * len(records))
         if eff is not None:
             yield eff
-        for values in packet.records:
+        for values in records:
             final.merge(_Accumulator.from_tuple(values))
+
+    yield from port.consume(merge_batch)
     yield from output.emit_many([(final.result(op),)])
     yield from output.close()
     yield from operator_done(ctx, node)

@@ -47,7 +47,7 @@ from typing import Any, Generator, Optional
 from ..bitfilter import BitVectorFilter
 from ..ir import SpillConfig
 from ..node import ExecutionContext, Node
-from ..ports import EndOfStream, InputPort, OutputPort
+from ..ports import InputPort, OutputPort
 from .base import SpoolFile, operator_done
 from .join import _h2
 
@@ -241,12 +241,6 @@ class HybridJoinState:
         #: ``QueryResult.overflows_per_node`` now reports.
         self.overflow_chunks = 0
 
-    # Kept as a method (delegating to the plan) for the consumers' hot
-    # loops and for backwards compatibility.
-    def partition_of(self, key: Any) -> int:
-        """0 = memory-resident; 1..k-1 = spooled partitions."""
-        return self.plan.partition_of(key)
-
     @property
     def n_partitions(self) -> int:
         return self.plan.n_partitions
@@ -335,28 +329,8 @@ def hybrid_build_consumer(
     charge = (
         (insert_cost, bitset_cost) if bf is not None else (insert_cost,)
     )
-    port = state.build_port
-    flat = ctx.profiler is None and ctx.trace is None
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        # Flattened receive loop (see join.build_consumer): identical
-        # effects, no next_packet generator per packet.
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
-        records = message.records
+
+    def build_batch(records: list[tuple]) -> Generator[Any, Any, None]:
         bytes_used = state.bytes_used
         spill: Optional[dict[int, list[tuple]]] = None
         overflow_batch: Optional[list[tuple]] = None
@@ -410,6 +384,8 @@ def hybrid_build_consumer(
             yield from state.overflow_build.add_batch(overflow_batch)
         if bytes_used > trigger:
             yield from _handle_build_overflow(ctx, state)
+
+    yield from state.build_port.consume(build_batch)
     for spool in state.build_spools:
         yield from spool.flush()
     if state.overflow_build is not None:
@@ -437,26 +413,8 @@ def hybrid_probe_consumer(
     table_get = state.table.get
     overflow_spool = state.overflow_probe
     work_effect = state.node.work_effect
-    port = state.probe_port
-    flat = ctx.profiler is None and ctx.trace is None
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
-        records = message.records
+
+    def probe_batch(records: list[tuple]) -> Generator[Any, Any, None]:
         # Hits, misses, and spills all pay the probe charge; the bulk
         # multiply over integer-valued constants is exact.
         cpu = probe_cost * len(records)
@@ -500,6 +458,8 @@ def hybrid_probe_consumer(
         if overflow_batch:
             assert overflow_spool is not None
             yield from overflow_spool.add_batch(overflow_batch)
+
+    yield from state.probe_port.consume(probe_batch)
     for spool in state.probe_spools:
         yield from spool.flush()
     if state.overflow_probe is not None:

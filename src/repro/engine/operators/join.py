@@ -24,7 +24,7 @@ from ...catalog.partitioning import stable_hash
 from ...errors import ExecutionError
 from ..bitfilter import BitVectorFilter
 from ..node import ExecutionContext, Node
-from ..ports import EndOfStream, InputPort, OutputPort
+from ..ports import InputPort, OutputPort
 from .base import SpoolFile, operator_done
 
 #: Safety valve against non-terminating overflow recursion.
@@ -280,34 +280,10 @@ def _evict(
 def build_consumer(
     ctx: ExecutionContext, state: JoinState, exchange: OverflowExchange
 ) -> Generator[Any, Any, None]:
-    """Drain the build port into the hash table (phase one).
-
-    The uninstrumented path is flattened: one Get yield per message with
-    the port's metrics/cost accounting inlined (``receive_effect``), no
-    ``next_packet`` generator per packet.  Effects and their order are
-    identical to the generator path.
-    """
-    port = state.build_port
-    if ctx.profiler is not None or ctx.trace is not None:
-        while True:
-            packet = yield from port.next_packet()
-            if packet is None:
-                break
-            yield from _insert_batch(state, packet.records, exchange)
-        return
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        message = yield get_effect
-        if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
-        yield from _insert_batch(state, message.records, exchange)
+    """Drain the build port into the hash table (phase one)."""
+    yield from state.build_port.consume(
+        lambda records: _insert_batch(state, records, exchange)
+    )
 
 
 def overflow_route(states_count: int):
@@ -484,31 +460,10 @@ def _probe_batch(
 def probe_consumer(
     ctx: ExecutionContext, state: JoinState, exchange: OverflowExchange
 ) -> Generator[Any, Any, None]:
-    """Drain the probe port through the hash table (phase two).
-
-    Flattened like :func:`build_consumer` when uninstrumented.
-    """
-    port = state.probe_port
-    if ctx.profiler is not None or ctx.trace is not None:
-        while True:
-            packet = yield from port.next_packet()
-            if packet is None:
-                break
-            yield from _probe_batch(state, packet.records, exchange)
-        return
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        message = yield get_effect
-        if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
-        yield from _probe_batch(state, message.records, exchange)
+    """Drain the probe port through the hash table (phase two)."""
+    yield from state.probe_port.consume(
+        lambda records: _probe_batch(state, records, exchange)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,12 @@ def project_operator(
     costs = ctx.config.costs
     seen: set[tuple] = set()
     emitted = 0
-    while True:
-        packet = yield from port.next_packet()
-        if packet is None:
-            break
+
+    def project_batch(records: list[tuple]) -> Generator[Any, Any, None]:
+        nonlocal emitted
         cpu = 0.0
         out: list[tuple] = []
-        for record in packet.records:
+        for record in records:
             cpu += costs.project_tuple
             projected = tuple(record[p] for p in positions)
             if unique:
@@ -47,6 +46,8 @@ def project_operator(
         yield from node.work(cpu)
         if out:
             yield from output.emit_many(out)
+
+    yield from port.consume(project_batch)
     yield from output.close()
     yield from operator_done(ctx, node)
     return emitted

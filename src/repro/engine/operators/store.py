@@ -12,7 +12,7 @@ from typing import Any, Generator
 
 from ...storage import Schema, StoredFile
 from ..node import ExecutionContext, Node
-from ..ports import EndOfStream, InputPort
+from ..ports import InputPort
 from .base import operator_done
 
 
@@ -35,27 +35,9 @@ def store_operator(
     stored = 0
     store_tuple = costs.store_tuple
     work_effect = node.work_effect
-    flat = ctx.profiler is None and ctx.trace is None
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        # Flattened receive loop (see join.build_consumer): identical
-        # effects, no next_packet generator per packet.
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
-        records = message.records
+
+    def store_batch(records: list[tuple]) -> Generator[Any, Any, None]:
+        nonlocal pages_flushed, stored
         n_records = len(records)
         stored += n_records
         eff = work_effect(store_tuple * n_records)
@@ -73,6 +55,8 @@ def store_operator(
         while pages_flushed < heap.num_pages - 1:
             yield from node.write_page(fragment.name, pages_flushed)
             pages_flushed += 1
+
+    yield from port.consume(store_batch)
     while pages_flushed < heap.num_pages:
         yield from node.write_page(fragment.name, pages_flushed)
         pages_flushed += 1
@@ -95,11 +79,7 @@ def host_sink_operator(
     collected: list[tuple],
 ) -> Generator[Any, Any, int]:
     """Host-side consumer for queries that return tuples to the host."""
-    while True:
-        packet = yield from port.next_packet()
-        if packet is None:
-            break
-        collected.extend(packet.records)
+    yield from port.consume(collected.extend)
     return len(collected)
 
 

@@ -16,7 +16,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..errors import ExecutionError
 from ..sim import Get, Store
@@ -51,13 +51,12 @@ class InputPort:
         self.expected_producers = 0
         self._eos_seen = 0
         # Get effects are immutable descriptions, so one instance serves
-        # every next_packet() call instead of an allocation per packet.
+        # every receive in consume() instead of an allocation per packet.
         self._get_effect = Get(self.store)
-        # Cached metrics objects: next_packet runs once per packet, so the
-        # registry's name-keyed lookups are hoisted out of the hot path.
-        # Node/operator entries stay lazily created (first packet), so a
-        # port that never receives anything keeps out of snapshots exactly
-        # as before.
+        # Cached metrics objects: receive_effect runs once per packet, so
+        # the registry's name-keyed lookups are hoisted out of the hot
+        # path.  Node/operator entries stay lazily created (first packet),
+        # so a port that never receives anything keeps out of snapshots.
         self._query_counter = ctx.metrics.query
         self._node_metrics: Optional[Any] = None
         self._op_metrics: Optional[Any] = None
@@ -70,7 +69,7 @@ class InputPort:
 
         A non-final EOS reaching a consumer blocked in ``Get`` would only
         resume it to count the mark and yield the same ``Get`` again —
-        every consumer loop does exactly that.  So the getter is popped
+        exactly what :meth:`consume` does.  So the getter is popped
         and :meth:`_absorb_eos` does both at the sequence number the
         wake-up would have drawn, without resuming the generator.  Any
         other EOS is delivered like a data packet.
@@ -88,75 +87,50 @@ class InputPort:
         self._eos_seen += 1
         self.store._get(self.ctx.sim, getter)
 
-    def next_packet(self) -> Generator[Any, Any, Optional[DataPacket]]:
-        """Generator returning the next packet, or None once every producer
-        has closed.  Charges the per-packet receive cost to this node.
+    def consume(
+        self, on_batch: Callable[[list[tuple]], Any]
+    ) -> Generator[Any, Any, None]:
+        """Receive until every producer has closed, handing each data
+        packet's records to ``on_batch``.
+
+        The engine's one receive loop.  Per data packet: charge the
+        receive cost (:meth:`receive_effect`), record the packet for an
+        attached profiler or trace (:meth:`_observe`, stamped after the
+        receive cost completes), then run ``on_batch(records)`` —
+        delegating to it when it returns a generator.  Each EOS is counted
+        and the same cached ``Get`` re-yielded, the shape
+        :meth:`deliver_eos` relies on.
 
         A consumer may start before the scheduler has registered its
         producers (operators are activated consumers-first); the port then
         simply blocks on the mailbox — registration always happens before
         any producer can deliver a message.
         """
+        get_effect = self._get_effect
+        receive = self.receive_effect
+        observed = self.ctx.profiler is not None or self.ctx.trace is not None
         while self.expected_producers == 0 or (
             self._eos_seen < self.expected_producers
         ):
-            message = yield self._get_effect
+            message = yield get_effect
             if type(message) is EndOfStream:
                 self._eos_seen += 1
                 continue
-            node = self.node
-            costs = node.config.costs
-            if message.src_node == node.name:
-                eff = node.work_effect(costs.packet_short_circuit)
-            else:
-                eff = node.work_effect(costs.packet_receive)
+            eff = receive(message)
             if eff is not None:
                 yield eff
-            n_records = len(message.records)
-            # record_packet_received + record_operator_tuples, inlined on
-            # the cached metrics objects.
-            self._query_counter["packets_received"] += 1
-            nm = self._node_metrics
-            if nm is None:
-                nm = self._node_metrics = self.ctx.metrics.node(node.name)
-            nm.packets_received += 1
-            nm.tuples_in += n_records
-            om = self._op_metrics
-            if om is None:
-                om = self._op_metrics = self.ctx.metrics.operator(
-                    self.name, node.name
-                )
-            om.tuples_in += n_records
-            if self.ctx.profiler is not None:
-                # next_packet runs inside the consumer operator's process.
-                self.ctx.profiler.record_tuples(
-                    self.ctx.sim._current, tuples_in=len(message.records)
-                )
-            if self.ctx.trace is not None:
-                self.ctx.trace.instant(
-                    self.node.name, "net", f"recv:{self.name}",
-                    self.ctx.sim.now, cat="packet",
-                    args={"tuples": len(message.records),
-                          "from": message.src_node},
-                )
-                self.ctx.trace.counter(
-                    self.node.name, f"queue:{self.name}", self.ctx.sim.now,
-                    {"depth": float(len(self.store))},
-                )
-            return message
-        return None
+            if observed:
+                self._observe(message)
+            work = on_batch(message.records)
+            if work is not None:
+                yield from work
 
     def receive_effect(self, message: DataPacket) -> Optional[Any]:
         """Metrics plus the receive-cost effect for one data message.
 
-        The non-generator core of :meth:`next_packet`, used by flattened
-        consumer loops (join build/probe, store) so the hot path creates no
-        generator per packet.  Only valid when no profiler or trace is
-        attached — the caller falls back to :meth:`next_packet` otherwise.
-        The caller yields the returned effect itself, counts each EOS it
-        receives in ``_eos_seen`` and re-yields the port's cached ``Get``
-        — the loop :meth:`deliver_eos` relies on when it counts a
-        non-final EOS for a blocked consumer without resuming it.
+        :meth:`consume` yields the returned effect; a packet from a
+        same-node producer pays the short-circuit cost instead of the
+        network receive.
         """
         node = self.node
         costs = node.config.costs
@@ -179,14 +153,30 @@ class InputPort:
         om.tuples_in += n_records
         return eff
 
+    def _observe(self, message: DataPacket) -> None:
+        """Profiler tuple count, trace ``recv:`` instant and ``queue:``
+        counter for one received packet (only with an observer attached)."""
+        ctx = self.ctx
+        n_records = len(message.records)
+        if ctx.profiler is not None:
+            # consume runs inside the consumer operator's process.
+            ctx.profiler.record_tuples(ctx.sim._current, tuples_in=n_records)
+        if ctx.trace is not None:
+            ctx.trace.instant(
+                self.node.name, "net", f"recv:{self.name}", ctx.sim.now,
+                cat="packet",
+                args={"tuples": n_records, "from": message.src_node},
+            )
+            ctx.trace.counter(
+                self.node.name, f"queue:{self.name}", ctx.sim.now,
+                {"depth": float(len(self.store))},
+            )
+
     def drain(self) -> Generator[Any, Any, list[tuple]]:
         """Consume the whole stream, returning every record."""
         records: list[tuple] = []
-        while True:
-            packet = yield from self.next_packet()
-            if packet is None:
-                return records
-            records.extend(packet.records)
+        yield from self.consume(records.extend)
+        return records
 
 
 class OutputPort:

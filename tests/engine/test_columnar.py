@@ -10,10 +10,8 @@ from repro.catalog import gamma_hash
 from repro.catalog.partitioning import Hashed, PartitioningStrategy
 from repro.engine.bitfilter import BitVectorFilter
 from repro.engine.columnar import (
-    HAVE_NUMPY,
     NUMPY_THRESHOLD,
     BatchedBitProbe,
-    ColumnBatch,
     hash_route_batch,
     partition_batch,
 )
@@ -91,7 +89,6 @@ def test_partition_batch_matches_scalar_partition():
         assert partition_batch(records, 0, 13) == scalar
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector path needs numpy")
 @pytest.mark.parametrize("n_hashes", [1, 2, 3])
 def test_batched_bit_probe_matches_might_contain(n_hashes):
     rng = random.Random(RNG_SEED + n_hashes)
@@ -112,7 +109,6 @@ def test_batched_bit_probe_matches_might_contain(n_hashes):
     assert probe.test([(1.5, 0)] * NUMPY_THRESHOLD, 0) is None
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector path needs numpy")
 def test_batched_bit_probe_sees_later_filter_mutations():
     filt = BitVectorFilter(n_bits=1 << 12, n_hashes=2)
     probe = BatchedBitProbe(filt.n_bits, filt._seeds, filt._bits)
@@ -202,27 +198,3 @@ def test_true_predicate_compile_batch_is_identity():
     schema = _schema()
     records = [(1, 2, "x"), (3, 4, "y")]
     assert TruePredicate().compile_batch(schema)(records) == records
-
-
-@pytest.mark.parametrize("count", [0, 1, NUMPY_THRESHOLD, 200])
-def test_column_batch_round_trip(count):
-    rng = random.Random(RNG_SEED + count)
-    records = _mixed_records(rng, count)
-    batch = ColumnBatch.from_records(records)
-    assert len(batch) == count
-    assert batch.to_records() == records
-
-
-def test_column_batch_take_and_concat():
-    rng = random.Random(RNG_SEED)
-    records = _int_records(rng, 100)
-    batch = ColumnBatch.from_records(records)
-    picked = batch.take([5, 0, 99, 42])
-    assert picked.to_records() == [
-        records[5], records[0], records[99], records[42]
-    ]
-    rejoined = ColumnBatch.concat(
-        [batch.take(range(0, 60)), ColumnBatch.from_records([]),
-         batch.take(range(60, 100))]
-    )
-    assert rejoined.to_records() == records

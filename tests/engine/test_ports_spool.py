@@ -110,12 +110,13 @@ class TestOutputPort:
             yield from out.emit_many(records)
             yield from out.close()
 
+        def check(records):
+            # A packet's wire size is its record count times tuple_bytes.
+            nbytes = len(records) * schema.tuple_bytes
+            assert nbytes <= ctx.config.packet_size
+
         def consumer():
-            while True:
-                pkt = yield from port_in.next_packet()
-                if pkt is None:
-                    return
-                assert pkt.nbytes <= ctx.config.packet_size
+            yield from port_in.consume(check)
 
         run_procs(ctx, producer(), consumer())
         # per-tuple bytes 4 -> 512 tuples/packet -> 2 packets minimum
@@ -227,13 +228,13 @@ class TestEndOfStreamAbsorption:
         consumed = []
         resumes = []
 
+        def on_batch(records):
+            # Each record carries its producer's tag in field 0.
+            consumed.append((ctx.sim.now, records[0][0]))
+
         def consumer():
-            while True:
-                packet = yield from _counting(port.next_packet(), resumes)
-                if packet is None:
-                    consumed.append((ctx.sim.now, "done"))
-                    return
-                consumed.append((ctx.sim.now, packet.producer))
+            yield from _counting(port.consume(on_batch), resumes)
+            consumed.append((ctx.sim.now, "done"))
 
         def send(message, nbytes):
             if fast and type(message) is EndOfStream:
@@ -254,7 +255,7 @@ class TestEndOfStreamAbsorption:
         def producers():
             yield Delay(0.01)
             send(EndOfStream("a"), 64)
-            send(DataPacket([(1,), (2,)], 416, "b", node.name), 416)
+            send(DataPacket([("b", 1), ("b", 2)], 416, "b", node.name), 416)
             yield Delay(0.01)
             send(EndOfStream("b"), 64)
 
